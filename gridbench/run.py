@@ -1,6 +1,6 @@
 """The repository benchmark: one command, every metric, with checks.
 
-    python3 gridbench/run.py --workload paper_half --seed 1 --seconds 10 --trace 0
+    python3 gridbench/run.py --workload paper_month --seed 1 --seconds 45 --trace 0
     python3 gridbench/run.py --workload all --seed 1 --repeat 5
 
 Run from the repository root.  The last line of standard output is
@@ -19,6 +19,7 @@ import argparse
 import compileall
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -30,9 +31,9 @@ from layers import LAYERS, SERVICE_MODULES  # noqa: E402
 from stats import summary  # noqa: E402
 
 #: The workloads BENCHMARK.json lists (``--workload all``), plus the
-#: full paper run, which is measured by hand.
-WORKLOADS = ("job_heavy", "service_mix", "paper_half")
-EXTRA_WORKLOADS = ("paper_run",)
+#: paper-config windows, which are measured by hand.
+WORKLOADS = ("job_heavy", "service_mix")
+EXTRA_WORKLOADS = ("paper_month", "paper_run")
 #: Scratch space in the checkout: fingerprints, service state dirs.
 STATE_ROOT = os.path.join(ROOT, ".gridbench_state")
 
@@ -130,11 +131,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=WORKLOADS + EXTRA_WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", type=int, default=0,
                         help="run N times and print median and quartiles")
     args = parser.parse_args(argv)
+    # On SIGTERM, unwind: the workloads' cleanup paths then kill and
+    # reap the server and simulator processes they started.
+    signal.signal(signal.SIGTERM, lambda _signum, _frame: sys.exit(143))
     if not os.path.isdir(os.path.join(ROOT, "src", "repro")):
         print(f"no program to measure: {ROOT}/src/repro is missing",
               file=sys.stderr)

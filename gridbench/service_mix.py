@@ -12,10 +12,11 @@ in the queue whenever it arrives while the other client's run
 simulates.
 
 Every input (configs, read choices) is drawn before the timer starts;
-reads pick among the client's finished runs by position.  One warm-up
-run precedes the timed window: the first run of a fresh pool worker
-pays a one-off ~10 s stall (see README), reported as
-``service.first_run_s`` in the traced run.
+reads pick among the client's finished runs by position.  Two warm-up
+runs precede the timed window: the first run of a fresh server pays a
+one-off ~15 s stall (see README), 10 s in its own latency, reported as
+``service.first_run_s`` in the traced run, and 5 s more that the next
+run waits in the queue.
 """
 
 from __future__ import annotations
@@ -60,7 +61,14 @@ PLANNED_CYCLES = 400
 MIN_RUNS = min_samples(0.5)
 #: Give up (and fail the run) past this many seconds of load.
 HARD_LIMIT_S = 100.0
+#: A graceful drain of an idle server takes well under a second.
+STOP_TIMEOUT_S = 30.0
 SETUPS = 3
+#: Runs before the timed window.  The first run's progress reader holds
+#: the single worker slot for 10 s after the run ends and 5 s more
+#: after that (``reader.join`` timeouts in the queue); the second run
+#: waits those 5 s out, so the window starts on an idle, warm worker.
+WARMUP_RUNS = 2
 
 
 def run_config(key: int) -> Dict:
@@ -103,9 +111,11 @@ class Server:
         env["PYTHONPATH"] = os.path.join(root, "src")
         self._stderr = open(os.path.join(state_dir, "stderr.txt"), "wb")
         self.spawned = time.monotonic()
+        # Its own process group, so kill() reaches the pool worker too.
         self.proc = subprocess.Popen(
             cmd, cwd=root, env=env, stdout=subprocess.PIPE,
-            stderr=self._stderr, stdin=subprocess.DEVNULL)
+            stderr=self._stderr, stdin=subprocess.DEVNULL,
+            start_new_session=True)
         try:
             self.port = self._read_port()
             self._healthz()
@@ -140,7 +150,16 @@ class Server:
         server and every pool worker it reaped."""
         self.proc.send_signal(signal.SIGINT)
         self.proc.stdout.close()
-        _pid, status, usage = os.wait4(self.proc.pid, 0)
+        deadline = time.monotonic() + STOP_TIMEOUT_S
+        while True:
+            pid, status, usage = os.wait4(self.proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                self.kill()
+                raise RuntimeError(
+                    f"repro serve did not drain within {STOP_TIMEOUT_S} s")
+            time.sleep(0.05)
         self.proc.returncode = os.waitstatus_to_exitcode(status)
         self._stderr.close()
         if self.proc.returncode != 0:
@@ -149,9 +168,19 @@ class Server:
         return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
     def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
+        """SIGKILL the server and its pool worker; wait until both end."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(self.proc.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
         self._stderr.close()
 
 
@@ -290,34 +319,41 @@ def _metrics_json(port: int) -> Dict[str, float]:
 
 def run(root: str, seed: int, seconds: float, trace: bool, state_root: str):
     """Returns (metrics, attempted, failed, correct, notes)."""
+    # repro serve drains on SIGINT.  A shell that starts this benchmark
+    # in the background ignores SIGINT, and an ignored signal stays
+    # ignored across exec, so the server would never see it; a handled
+    # one is reset to the default, which Python turns into its handler.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     work = os.path.join(state_root, f"service-{os.getpid()}")
     shutil.rmtree(work, ignore_errors=True)
     trace_dir = os.path.join(work, "trace") if trace else None
     if trace_dir:
         os.makedirs(trace_dir)
-    setups = []
+    setups, servers = [], []
     try:
         server = Server(root, os.path.join(work, "main"), trace_dir)
+        servers.append(server)
         setups.append(server.setup_s)
-        try:
-            warm = Client(CLIENTS, server.port, [{
-                "config": run_config(RUN_KEY_BASE - 1), "reads": []}],
-                lambda: False)
-            warm.run()
-            clients, window = _load(server, seed, seconds)
-            clients.append(warm)
-            cache = _metrics_json(server.port) if trace else {}
-        except BaseException:
-            server.kill()
-            raise
+        warm = Client(CLIENTS, server.port, [
+            {"config": run_config(RUN_KEY_BASE - 1 - i), "reads": []}
+            for i in range(WARMUP_RUNS)], lambda: False)
+        warm.run()
+        clients, window = _load(server, seed, seconds)
+        clients.append(warm)
+        cache = _metrics_json(server.port) if trace else {}
         cpu_s, rss_mb = server.stop()
         for extra in range(SETUPS - 1):
             probe = Server(root, os.path.join(work, f"setup{extra}"))
+            servers.append(probe)
             setups.append(probe.setup_s)
             probe.stop()
         return _report(clients, window, setups, cpu_s, rss_mb, cache,
                        trace_dir)
     finally:
+        # On every path out, an error or SIGTERM included, no server or
+        # pool worker outlives the run; a no-op for a drained server.
+        for started in servers:
+            started.kill()
         shutil.rmtree(work, ignore_errors=True)
 
 
@@ -339,7 +375,7 @@ def _report(clients, window, setups, cpu_s, rss_mb, cache, trace_dir):
         metrics = {
             "setup_s": (median(setups), "s"),
             "wall_s": (wall, "s"),
-            "cpu_s": (cpu_s / (len(runs) + 1), "s"),
+            "cpu_s": (cpu_s / (len(runs) + WARMUP_RUNS), "s"),
             "peak_rss_mb": (rss_mb, "MB"),
             "runs_per_s": (len(runs) / window, "runs/s"),
         }

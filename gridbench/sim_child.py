@@ -8,8 +8,11 @@ application start), which shares the parent's clock.
 
 Modes: ``setup`` stops after set-up; ``full`` simulates the window,
 scores it with ``compare_run`` and fingerprints ``export_database``.
-With ``trace`` the window runs in 6-hour slices under
-:class:`layers.SliceProfiler`, and scoring is profiled whole.
+The window runs in 6-hour slices (``run_full(progress=...)``, which
+dispatches the same events as a silent run): untraced, each slice's
+wall and CPU seconds are reported, scoring as the last slice; with
+``trace`` the slices run under :class:`layers.SliceProfiler`, and
+scoring is profiled whole.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ def main(spec: dict) -> dict:
     if spec["mode"] == "setup":
         return out
     trace = spec["trace"]
+    slices = max(1, round(grid.config.duration_days * 4))
     if trace:
         from layers import CallCounter, GcTimer, SliceProfiler
         from repro.services.base import DowntimeLedger
@@ -45,17 +49,19 @@ def main(spec: dict) -> dict:
         gc_timer = GcTimer().install()
         downtime = CallCounter(DowntimeLedger, "downtime")
         profiler = SliceProfiler(Engine)
-        slices = max(1, round(grid.config.duration_days * 4))
 
-    wall0, cpu0 = time.perf_counter(), time.process_time()
     if trace:
         grid.run_full(progress=lambda event: None, progress_slices=slices)
         checks = profiler.region(compare_run, grid)
     else:
-        grid.run_full()
+        stamps = [(time.perf_counter(), time.process_time())]
+        grid.run_full(progress=lambda event: stamps.append(
+            (time.perf_counter(), time.process_time())),
+            progress_slices=slices)
         checks = compare_run(grid)
-    out["wall_s"] = time.perf_counter() - wall0
-    out["cpu_s"] = time.process_time() - cpu0
+        stamps.append((time.perf_counter(), time.process_time()))
+        out["slices_wall_s"] = [b[0] - a[0] for a, b in zip(stamps, stamps[1:])]
+        out["slices_cpu_s"] = [b[1] - a[1] for a, b in zip(stamps, stamps[1:])]
 
     out["claims_failed"] = [c.name for c in checks if not c.passed]
     out["claims_total"] = len(checks)

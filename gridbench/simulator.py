@@ -1,12 +1,22 @@
-"""The simulator workloads: ``job_heavy``, ``paper_half``, ``paper_run``.
+"""The simulator workloads: ``job_heavy``, ``paper_month``, ``paper_run``.
 
-Each run (one simulation, scored) executes in a fresh
+Each simulation (simulated and scored) executes in a fresh
 ``sim_child.py`` process, so set-up is measured from process spawn
-and every run pays the same imports.  A workload repeats runs until
-``seconds`` have passed (at least one), then spawns set-up-only
-children until it has ``SETUPS`` set-up samples.  Runs of
-one workload must produce the same ``export_database`` bytes, within a
-run and across runs in one checkout.
+and every simulation pays the same imports.  A workload repeats the
+simulation until ``seconds`` have passed and at least its ``min_sims``
+ran, then spawns set-up-only children until it has ``SETUPS`` set-up
+samples.  Simulations of one workload must produce the same
+``export_database`` bytes, within a run and across runs in one
+checkout.
+
+``wall_s`` and ``cpu_s`` are per-slice bests: every simulation of a
+run does the same work slice by slice (6 simulated hours, scoring
+last), so slice ``k`` is timed once per simulation and the fastest
+time counts.  The shared host runs at two speeds some 40% apart, in
+phases of seconds to minutes; a whole-run median follows the share of
+slow phases a run happened to see, while the per-slice best keeps the
+time of the code on the host's fast phase.  A slower code path slows
+its slices in every simulation, so it shows in full.
 """
 
 from __future__ import annotations
@@ -30,20 +40,23 @@ CHILD_TIMEOUT_S = 170.0
 WORKLOADS = {
     # The ROADMAP headline, exactly ``repro score --days 183 --scale 50``:
     # the whole paper window, scored against the paper's 20 shape claims.
-    # 60-90 s a run on a shared 2-core box, too slow to repeat 22 times
-    # inside the benchmark's time budget, so BENCHMARK.json lists
-    # paper_half and this one is run by hand (--workload paper_run).
+    # 60-90 s a simulation on a shared 2-core box, too slow to repeat
+    # inside the benchmark's time budget, so it is run by hand
+    # (--workload paper_run), one simulation a run.
     "paper_run": {
         "config": {"duration_days": 183, "scale": 50},
         "claims_required": True,
+        "min_sims": 1,
     },
-    # The same configuration over the first half of the window: still
-    # long enough that the time-proportional layers (monitoring, the
-    # services ledgers, GC) dominate, at ~35 s.  Claims are scored and
-    # printed but not required: several describe the whole 183 days.
-    "paper_half": {
-        "config": {"duration_days": 92, "scale": 50},
+    # The same configuration over the first 30 days, run by hand: long
+    # enough that the time-proportional layers (monitoring, GC) take
+    # most of the time, short enough (5-8 s) to simulate twice a run.  Claims are
+    # scored and printed but not required: several describe the whole
+    # 183 days.
+    "paper_month": {
+        "config": {"duration_days": 30, "scale": 50},
         "claims_required": False,
+        "min_sims": 2,
     },
     # A short, job-dense window with every opt-in per-job subsystem on.
     "job_heavy": {
@@ -51,6 +64,7 @@ WORKLOADS = {
                    "fair_share": True, "data_management": True,
                    "alerts": True},
         "claims_required": False,
+        "min_sims": 2,
     },
 }
 
@@ -69,6 +83,14 @@ def spawn(root: str, spec: dict):
             f"{done.stderr.decode(errors='replace')[-2000:]}")
     result = json.loads(done.stdout.decode().strip().splitlines()[-1])
     return result, result["setup_end"] - spawned
+
+
+def per_slice_best(runs) -> float:
+    """Sum over slices of the fastest time any simulation took for it;
+    ``runs`` holds one list of slice times per simulation."""
+    if len({len(slices) for slices in runs}) != 1:
+        raise RuntimeError("simulations of one config differ in slices")
+    return sum(min(times) for times in zip(*runs))
 
 
 def check_fingerprint(state_root: str, workload: str, sha: str) -> bool:
@@ -91,11 +113,12 @@ def run(name: str, root: str, seconds: float, trace: bool,
     spec = {"mode": "full", "config": workload["config"], "trace": trace}
     results, setups, notes = [], [], []
     start = time.monotonic()
-    while not results or (not trace and time.monotonic() - start < seconds):
+    while not results or (not trace and (
+            len(results) < workload["min_sims"]
+            or time.monotonic() - start < seconds)):
         result, setup = spawn(root, spec)
         results.append(result)
         setups.append(setup)
-    window = time.monotonic() - start
     while not trace and len(setups) < SETUPS:
         setups.append(spawn(root, dict(spec, mode="setup"))[1])
 
@@ -120,11 +143,13 @@ def run(name: str, root: str, seconds: float, trace: bool,
                  "calls": traced["layers"]["calls"],
                  "counts": traced["counts"], "service": {}},
                 len(results), failed, correct, notes)
+    wall_s = per_slice_best([r["slices_wall_s"] for r in results])
     metrics = {
         "setup_s": (median(setups), "s"),
-        "wall_s": (median([r["wall_s"] for r in results]), "s"),
-        "cpu_s": (median([r["cpu_s"] for r in results]), "s"),
+        "wall_s": (wall_s, "s"),
+        "cpu_s": (per_slice_best([r["slices_cpu_s"] for r in results]), "s"),
         "peak_rss_mb": (max(r["peak_rss_mb"] for r in results), "MB"),
-        "runs_per_s": (len(results) / window, "runs/s"),
+        # One simulation at a time: throughput is the inverse of wall_s.
+        "runs_per_s": (1.0 / wall_s, "runs/s"),
     }
     return metrics, len(results), failed, correct, notes

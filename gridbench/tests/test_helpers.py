@@ -15,6 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
 from layers import attribute, layer_classifier  # noqa: E402
 from repro import Grid3Config  # noqa: E402
 from service_mix import READ_KINDS, READS_PER_KIND, request_mix  # noqa: E402
+from simulator import per_slice_best  # noqa: E402
 from stats import min_samples, percentile, samples_beyond  # noqa: E402
 
 
@@ -34,6 +35,22 @@ def test_percentile_interpolates_sorted_samples():
     values = list(range(100, 0, -1))  # unsorted on purpose
     assert percentile(values, 0.5) == 50.5
     assert abs(percentile(values, 0.9) - 90.1) < 1e-9
+
+
+# -- the per-slice best ---------------------------------------------------------
+
+def test_per_slice_best_sums_the_fastest_time_of_each_slice():
+    runs = [[1.0, 5.0, 2.0], [3.0, 1.0, 2.5], [2.0, 4.0, 1.5]]
+    assert per_slice_best(runs) == 1.0 + 1.0 + 1.5
+    assert per_slice_best([[1.0, 2.0]]) == 3.0
+
+
+def test_per_slice_best_rejects_simulations_of_different_shape():
+    try:
+        per_slice_best([[1.0, 2.0], [1.0]])
+    except RuntimeError:
+        return
+    raise AssertionError("slice lists of different length were summed")
 
 
 # -- the seeded request mix ------------------------------------------------------
